@@ -19,7 +19,6 @@
 namespace csaw::miniredis {
 namespace {
 
-constexpr auto kCallDeadline = std::chrono::seconds(10);
 constexpr const char* kShardPrefix = "Shd";  // matches RebalanceOptions
 
 // Handoff journal phases, in commit order. Anything short of kFlip aborts
@@ -29,21 +28,6 @@ constexpr std::uint8_t kPhasePrepare = 1;
 constexpr std::uint8_t kPhaseStreaming = 2;
 constexpr std::uint8_t kPhaseDraining = 3;
 constexpr std::uint8_t kPhaseFlip = 4;
-
-Response apply(Store& store, const Command& c) {
-  switch (c.op) {
-    case Command::Op::kGet: {
-      auto v = store.get(c.key);
-      return Response{v.has_value(), v.value_or("")};
-    }
-    case Command::Op::kSet:
-      store.set(c.key, c.value);
-      return Response{true, ""};
-    case Command::Op::kDel:
-      return Response{store.del(c.key), ""};
-  }
-  return Response{};
-}
 
 }  // namespace
 
@@ -158,8 +142,7 @@ struct RebalancedService::ControlBlock {
 };
 
 struct RebalancedService::FrontState {
-  Mailbox<RebPayload> requests;
-  Mailbox<RebReply> responses;
+  FrontDoor<RebPayload, RebReply> door;
   RebPayload current;
   std::size_t buckets = 0;
   std::shared_ptr<ControlBlock> control;
@@ -196,10 +179,6 @@ struct RebalancedService::MoverState {
 
 // --- construction ------------------------------------------------------------------
 
-RebalancedService::Options RebalancedService::make_default_options() {
-  return Options{};
-}
-
 std::string RebalancedService::shard_name(std::size_t i) const {
   return kShardPrefix + std::to_string(i + 1);
 }
@@ -225,6 +204,7 @@ RebalancedService::RebalancedService(Options options)
   front_ = std::make_shared<FrontState>();
   front_->buckets = options_.buckets;
   front_->control = control_;
+  front_->door.attach(options_.metrics);
   mover_ = std::make_shared<MoverState>();
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_shared<ShardState>(
@@ -284,7 +264,7 @@ void RebalancedService::build_engine_locked() {
   b.block("complain", [](HostCtx&) { return Status::ok_status(); });
   b.block("Route", [buckets](HostCtx& ctx) -> Status {
     auto& st = ctx.state<FrontState>();
-    auto req = st.requests.pop(Deadline::after(std::chrono::seconds(5)));
+    auto req = st.door.take(std::chrono::seconds(5));
     if (!req) return make_error(Errc::kHostFailure, "no request");
     st.current = std::move(*req);
     const std::size_t bucket =
@@ -359,7 +339,7 @@ void RebalancedService::build_engine_locked() {
              [](HostCtx& ctx, const SerializedValue& sv) -> Status {
                auto reply = unpack<RebReply>("miniredis.RebReply", sv);
                if (!reply) return reply.error();
-               ctx.state<FrontState>().responses.push(*std::move(reply));
+               ctx.state<FrontState>().door.reply(*std::move(reply));
                return Status::ok_status();
              });
   b.block("NextChunk", [](HostCtx& ctx) -> Status {
@@ -402,11 +382,7 @@ void RebalancedService::build_engine_locked() {
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
   eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.scheduler = options_.scheduler;
+  options_.forward_to(eopts.runtime);
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   engine_->set_state(Symbol(popts.front_instance), front_);
@@ -435,17 +411,16 @@ Result<Response> RebalancedService::request(const Command& command) {
     // actually complete -- holding it through the sleep would stall the very
     // flip the retry is waiting for until the client exhausts its retries.
     std::unique_lock lock(req_mu_);
-    front_->requests.push(RebPayload{command, control_->client.version()});
-    CSAW_TRY(engine_->call("Fnt", "j", Deadline::after(kCallDeadline)));
     // deliver_response runs inside the junction body, so by the time the
-    // call returned the response (if any) is already in the mailbox; a
-    // short pop distinguishes "complained" from "answered".
-    auto reply = front_->responses.pop(
-        Deadline::after(std::chrono::milliseconds(options_.timeout_ms)));
-    if (!reply) {
-      return make_error(Errc::kUnreachable,
-                        "no response from shard (owner unreachable)");
-    }
+    // call returned the reply (if any) is already at the door; a short
+    // wait distinguishes "complained" (owner unreachable) from "answered".
+    auto reply = front_->door.round_trip(
+        RebPayload{command, control_->client.version()},
+        [this] {
+          return engine_->call("Fnt", "j", Deadline::after(kCallDeadline));
+        },
+        std::chrono::milliseconds(options_.timeout_ms));
+    if (!reply.ok()) return reply.error();
     if (!reply->wrong_owner) {
       if (nacked) {
         std::scoped_lock w(control_->window_mu);

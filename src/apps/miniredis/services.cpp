@@ -8,41 +8,12 @@
 #include "support/rng.hpp"
 
 namespace csaw::miniredis {
-namespace {
-
-constexpr auto kCallDeadline = std::chrono::seconds(10);
-
-Response apply(Store& store, const Command& c) {
-  switch (c.op) {
-    case Command::Op::kGet: {
-      auto v = store.get(c.key);
-      return Response{v.has_value(), v.value_or("")};
-    }
-    case Command::Op::kSet:
-      store.set(c.key, c.value);
-      return Response{true, ""};
-    case Command::Op::kDel:
-      return Response{store.del(c.key), ""};
-  }
-  return Response{};
-}
-
-}  // namespace
 
 // --- BaselineService ------------------------------------------------------------
 
 Result<Response> BaselineService::request(const Command& command) {
+  std::scoped_lock lock(mu_);
   return apply(store_, command);
-}
-
-CheckpointedService::Options CheckpointedService::make_default_options() {
-  return Options{};
-}
-ShardedService::Options ShardedService::make_default_options() {
-  return Options{};
-}
-CachedService::Options CachedService::make_default_options() {
-  return Options{};
 }
 
 // --- CheckpointedService ----------------------------------------------------------
@@ -87,14 +58,10 @@ CheckpointedService::CheckpointedService(Options options) {
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
   eopts.runtime.default_link = options.link;
-  eopts.runtime.trace_sink = options.trace_sink;
-  eopts.runtime.metrics = options.metrics;
-  eopts.runtime.profiler = options.profiler;
-  eopts.runtime.profile_out = options.profile_out;
+  options.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options.metrics_http_port;
   eopts.runtime.transport = options.transport;
   eopts.runtime.tcp = options.tcp;
-  eopts.runtime.scheduler = options.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   const auto cost = options.op_cost_ns;
@@ -156,8 +123,7 @@ std::size_t CheckpointedService::keyspace_size() const {
 // LOC-COUNT-BEGIN(glue_sharding)
 
 struct ShardedService::FrontState {
-  Mailbox<Command> requests;
-  Mailbox<Response> responses;
+  FrontDoor<Command, Response> door;
   Command current;
   // Size-aware routing keeps a key -> size-class table at the router
   // (S5.2's "custom table that maps keys to object sizes").
@@ -181,12 +147,13 @@ ShardedService::ShardedService(Options options) : options_(std::move(options)) {
 
   front_ = std::make_shared<FrontState>();
   front_->owner = this;
+  front_->door.attach(options_.metrics);
 
   HostBindings b;
   b.block("complain", [](HostCtx&) { return Status::ok_status(); });
   b.block("Choose", [](HostCtx& ctx) -> Status {
     auto& st = ctx.state<FrontState>();
-    auto cmd = st.requests.pop(Deadline::after(std::chrono::seconds(5)));
+    auto cmd = st.door.take(std::chrono::seconds(5));
     if (!cmd) return make_error(Errc::kHostFailure, "no request");
     st.current = std::move(*cmd);
     return ctx.set_idx("tgt", static_cast<std::int64_t>(
@@ -215,7 +182,7 @@ ShardedService::ShardedService(Options options) : options_(std::move(options)) {
              [](HostCtx& ctx, const SerializedValue& sv) -> Status {
                auto resp = unpack<Response>("miniredis.Response", sv);
                if (!resp) return resp.error();
-               ctx.state<FrontState>().responses.push(std::move(*resp));
+               ctx.state<FrontState>().door.reply(std::move(*resp));
                return Status::ok_status();
              });
 
@@ -223,14 +190,10 @@ ShardedService::ShardedService(Options options) : options_(std::move(options)) {
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
   eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
+  options_.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options_.metrics_http_port;
   eopts.runtime.transport = options_.transport;
   eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   engine_->set_state(Symbol(popts.front_instance), front_);
@@ -264,11 +227,12 @@ std::size_t ShardedService::shard_of(const Command& command) const {
 }
 
 Result<Response> ShardedService::request(const Command& command) {
-  front_->requests.push(command);
-  CSAW_TRY(engine_->call("Fnt", "j", Deadline::after(kCallDeadline)));
-  auto resp = front_->responses.pop(Deadline::after(kCallDeadline));
-  if (!resp) return make_error(Errc::kTimeout, "no response from shard");
-  return *resp;
+  return front_->door.round_trip(
+      command,
+      [this] {
+        return engine_->call("Fnt", "j", Deadline::after(kCallDeadline));
+      },
+      kCallDeadline);
 }
 
 int ShardedService::metrics_http_port() const {
@@ -288,8 +252,7 @@ std::vector<std::uint64_t> ShardedService::shard_counts() const {
 // LOC-COUNT-BEGIN(glue_caching)
 
 struct CachedService::CacheState {
-  Mailbox<Command> requests;
-  Mailbox<Response> responses;
+  FrontDoor<Command, Response> door;
   Command current;
   Response result;
   // FIFO-bounded memo table; policy is host-side per S7.2.
@@ -315,13 +278,14 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
   cache_ = std::make_shared<CacheState>();
   cache_->capacity = options_.cache_capacity;
   cache_->enabled = options_.cache_enabled;
+  cache_->door.attach(options_.metrics);
   fun_ = std::make_shared<FunState>(options_.op_cost_ns);
 
   HostBindings b;
   b.block("complain", [](HostCtx&) { return Status::ok_status(); });
   b.block("CheckCacheable", [](HostCtx& ctx) -> Status {
     auto& st = ctx.state<CacheState>();
-    auto cmd = st.requests.pop(Deadline::after(std::chrono::seconds(5)));
+    auto cmd = st.door.take(std::chrono::seconds(5));
     if (!cmd) return make_error(Errc::kHostFailure, "no request");
     st.current = std::move(*cmd);
     const bool cacheable =
@@ -336,8 +300,7 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
     auto& st = ctx.state<CacheState>();
     auto it = st.cache.find(st.current.key);
     if (it != st.cache.end()) {
-      st.result = Response{true, it->second};
-      st.responses.push(st.result);
+      st.door.reply(Response{true, it->second});
       st.hits.fetch_add(1);
       return ctx.set_prop("Cached", true);
     }
@@ -380,7 +343,7 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
                if (!resp) return resp.error();
                auto& st = ctx.state<CacheState>();
                st.result = *resp;
-               st.responses.push(std::move(*resp));
+               st.door.reply(std::move(*resp));
                return Status::ok_status();
              });
 
@@ -388,14 +351,10 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
   eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
+  options_.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options_.metrics_http_port;
   eopts.runtime.transport = options_.transport;
   eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   engine_->set_state(Symbol("Cache"), cache_);
@@ -405,11 +364,12 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
 }
 
 Result<Response> CachedService::request(const Command& command) {
-  cache_->requests.push(command);
-  CSAW_TRY(engine_->call("Cache", "j", Deadline::after(kCallDeadline)));
-  auto resp = cache_->responses.pop(Deadline::after(kCallDeadline));
-  if (!resp) return make_error(Errc::kTimeout, "no response");
-  return *resp;
+  return cache_->door.round_trip(
+      command,
+      [this] {
+        return engine_->call("Cache", "j", Deadline::after(kCallDeadline));
+      },
+      kCallDeadline);
 }
 
 int CachedService::metrics_http_port() const {
@@ -484,10 +444,6 @@ struct ReplicatedService::FrontState {
   std::size_t required = 1;   // quorum: acks needed (W writes / R reads)
   std::atomic<std::size_t> acks{0};
 };
-
-ReplicatedService::Options ReplicatedService::make_default_options() {
-  return Options{};
-}
 
 ReplicatedService::ReplicatedService(Options options)
     : options_(std::move(options)) {
@@ -612,12 +568,8 @@ void ReplicatedService::build_engine() {
 
   EngineOptions eopts;
   eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
+  options_.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options_.metrics_http_port;
-  eopts.runtime.scheduler = options_.scheduler;
   eopts.runtime.default_consistency = options_.consistency;
 
   if (chain_mode) {

@@ -49,10 +49,15 @@ namespace csaw::miniredis {
 
 // Default per-command CPU cost (models Redis command processing).
 constexpr std::uint64_t kDefaultOpCostNs = 900;
+// How long a service waits on one engine call, and then on its reply.
+constexpr std::chrono::seconds kCallDeadline{10};
 
 class Service {
  public:
   virtual ~Service() = default;
+  // Contract: safe to call from any number of threads at once, and each
+  // returned reply belongs to the command it was called with -- never to a
+  // concurrent caller's command or to an earlier caller that timed out.
   virtual Result<Response> request(const Command& command) = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -66,9 +71,9 @@ class BaselineService : public Service {
 
   Result<Response> request(const Command& command) override;
   [[nodiscard]] std::string name() const override { return "baseline"; }
-  Store& store() { return store_; }
 
  private:
+  std::mutex mu_;  // Store is single-threaded; serializes request()
   Store store_;
 };
 
@@ -76,19 +81,10 @@ class BaselineService : public Service {
 
 class CheckpointedService : public Service {
  public:
-  struct Options {
+  struct Options : RuntimeTaps {
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
     std::int64_t timeout_ms = 2000;
     LinkModel link = LinkModel::in_process();
-    // Optional observability taps, forwarded to the underlying runtime;
-    // both borrowed and must outlive the service.
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
     // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
     // `metrics` set. The bound port is metrics_http_port().
     int metrics_http_port = -1;
@@ -97,9 +93,6 @@ class CheckpointedService : public Service {
     // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
     Transport transport = Transport::kInProcess;
     TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   CheckpointedService() : CheckpointedService(make_default_options()) {}
@@ -123,7 +116,7 @@ class CheckpointedService : public Service {
   [[nodiscard]] int metrics_http_port() const;
 
  private:
-  static Options make_default_options();
+  static Options make_default_options() { return {}; }
   struct ActState;
   struct AudState;
   std::shared_ptr<ActState> act_;
@@ -137,7 +130,7 @@ class ShardedService : public Service {
  public:
   enum class Mode { kByKeyHash, kByObjectSize };
 
-  struct Options {
+  struct Options : RuntimeTaps {
     std::size_t shards = 4;
     Mode mode = Mode::kByKeyHash;
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
@@ -145,14 +138,6 @@ class ShardedService : public Service {
     LinkModel link = LinkModel::in_process();
     // Object-size class boundaries (inclusive upper bounds; last is +inf).
     std::vector<std::size_t> size_bounds = {4 * 1024, 16 * 1024, 64 * 1024};
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
     // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
     // `metrics` set. The bound port is metrics_http_port().
     int metrics_http_port = -1;
@@ -161,9 +146,6 @@ class ShardedService : public Service {
     // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
     Transport transport = Transport::kInProcess;
     TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   ShardedService() : ShardedService(make_default_options()) {}
@@ -174,7 +156,7 @@ class ShardedService : public Service {
     return options_.mode == Mode::kByKeyHash ? "shard-key" : "shard-size";
   }
 
-  static Options make_default_options();
+  static Options make_default_options() { return {}; }
 
   // Which shard index the service would route this key/value to.
   [[nodiscard]] std::size_t shard_of(const Command& command) const;
@@ -196,20 +178,12 @@ class ShardedService : public Service {
 
 class CachedService : public Service {
  public:
-  struct Options {
+  struct Options : RuntimeTaps {
     bool cache_enabled = true;  // false = same architecture, cache bypassed
     std::size_t cache_capacity = 4096;
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
     std::int64_t timeout_ms = 2000;
     LinkModel link = LinkModel::in_process();
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
     // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
     // `metrics` set. The bound port is metrics_http_port().
     int metrics_http_port = -1;
@@ -218,14 +192,11 @@ class CachedService : public Service {
     // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
     Transport transport = Transport::kInProcess;
     TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   CachedService() : CachedService(make_default_options()) {}
   explicit CachedService(Options options);
-  static Options make_default_options();
+  static Options make_default_options() { return {}; }
 
   Result<Response> request(const Command& command) override;
   [[nodiscard]] std::string name() const override {
@@ -292,7 +263,7 @@ class ReplicatedService : public Service {
     std::unordered_map<std::string, obs::Hlc> last_write_;
   };
 
-  struct Options {
+  struct Options : RuntimeTaps {
     Mode mode = Mode::kChain;
     std::size_t replicas = 3;
     // Quorum tuning (quorum mode). W is strict: writes fail (and are NOT
@@ -305,22 +276,14 @@ class ReplicatedService : public Service {
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
     std::int64_t timeout_ms = 2000;
     LinkModel link = LinkModel::in_process();
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
     // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
     // `metrics` set.
     int metrics_http_port = -1;
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   ReplicatedService() : ReplicatedService(make_default_options()) {}
   explicit ReplicatedService(Options options);
-  static Options make_default_options();
+  static Options make_default_options() { return {}; }
 
   // Table-default consistency, no session (kEventual/kLinearizable).
   Result<Response> request(const Command& command) override;
@@ -414,7 +377,7 @@ class ReplicatedService : public Service {
 // the newest published ownership.
 class RebalancedService : public Service {
  public:
-  struct Options {
+  struct Options : RuntimeTaps {
     std::size_t shards = 2;    // initial shard count
     std::size_t buckets = 16;  // fixed bucket count (never changes)
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
@@ -433,19 +396,11 @@ class RebalancedService : public Service {
     // volatile (no files; crash recovery across process restarts disabled,
     // in-process aborts still work).
     std::string journal_dir;
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   RebalancedService() : RebalancedService(make_default_options()) {}
   explicit RebalancedService(Options options);
-  static Options make_default_options();
+  static Options make_default_options() { return {}; }
 
   Result<Response> request(const Command& command) override;
   [[nodiscard]] std::string name() const override { return "rebalanced"; }

@@ -70,4 +70,19 @@ Status Store::restore(const Bytes& snapshot) {
   return Status::ok_status();
 }
 
+Response apply(Store& store, const Command& command) {
+  switch (command.op) {
+    case Command::Op::kGet: {
+      auto v = store.get(command.key);
+      return Response{v.has_value(), v.value_or("")};
+    }
+    case Command::Op::kSet:
+      store.set(command.key, command.value);
+      return Response{true, ""};
+    case Command::Op::kDel:
+      return Response{store.del(command.key), ""};
+  }
+  return Response{};
+}
+
 }  // namespace csaw::miniredis

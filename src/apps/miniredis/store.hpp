@@ -15,6 +15,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "apps/miniredis/command.hpp"
 #include "serdes/archive.hpp"
 #include "support/result.hpp"
 
@@ -58,5 +59,8 @@ class Store {
   StoreStats stats_;
   std::uint64_t op_cost_ns_;
 };
+
+// Executes one command against the store (GET/SET/DEL).
+Response apply(Store& store, const Command& command);
 
 }  // namespace csaw::miniredis

@@ -16,10 +16,6 @@ using PacketBatch = std::vector<Packet>;
 
 // --- CheckpointedService ---------------------------------------------------------
 
-CheckpointedService::Options CheckpointedService::make_default_options() {
-  return Options{};
-}
-
 struct CheckpointedService::ActState {
   explicit ActState(std::uint64_t cost) : pipeline(cost) {}
   std::mutex mu;
@@ -56,14 +52,10 @@ CheckpointedService::CheckpointedService(Options options) {
   auto compiled = compile(patterns::remote_snapshot(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
-  eopts.runtime.trace_sink = options.trace_sink;
-  eopts.runtime.metrics = options.metrics;
-  eopts.runtime.profiler = options.profiler;
-  eopts.runtime.profile_out = options.profile_out;
+  options.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options.metrics_http_port;
   eopts.runtime.transport = options.transport;
   eopts.runtime.tcp = options.tcp;
-  eopts.runtime.scheduler = options.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   const auto cost = options.cost_ns;
@@ -112,10 +104,6 @@ std::size_t CheckpointedService::flow_count() const {
 }
 
 // --- SteeredService -----------------------------------------------------------------
-
-SteeredService::Options SteeredService::make_default_options() {
-  return Options{};
-}
 
 struct SteeredService::FrontState {
   miniredis::Mailbox<std::pair<std::size_t, PacketBatch>> batches;
@@ -171,14 +159,10 @@ SteeredService::SteeredService(Options options) : options_(options) {
   auto compiled = compile(patterns::sharding(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
   EngineOptions eopts;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
+  options_.forward_to(eopts.runtime);
   eopts.runtime.metrics_http_port = options_.metrics_http_port;
   eopts.runtime.transport = options_.transport;
   eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
                                      eopts);
   engine_->set_state(Symbol(popts.front_instance), front_);

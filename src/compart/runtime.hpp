@@ -199,6 +199,28 @@ struct RuntimeOptions {
   Consistency default_consistency = Consistency::kEventual;
 };
 
+// The runtime taps every app service's Options carries (as a base), passed
+// through to its runtime unchanged by forward_to().
+struct RuntimeTaps {
+  // Optional observability taps (borrowed; must outlive the service).
+  obs::TraceSink* trace_sink = nullptr;
+  obs::Metrics* metrics = nullptr;
+  // Optional continuous cost profiler (borrowed; must outlive the service),
+  // and/or a CostProfile JSON path the runtime writes at teardown.
+  obs::Profiler* profiler = nullptr;
+  std::string profile_out;
+  // Event-driven worker-pool sizing / timer-wheel knobs (compart/sched.hpp).
+  SchedulerOptions scheduler{};
+
+  void forward_to(RuntimeOptions& rt) const {
+    rt.trace_sink = trace_sink;
+    rt.metrics = metrics;
+    rt.profiler = profiler;
+    rt.profile_out = profile_out;
+    rt.scheduler = scheduler;
+  }
+};
+
 // One ack'd update push, with named fields (replaces the old positional
 // `push(to, update, deadline, from, abort)` signature). Designated
 // initializers keep call sites self-describing:

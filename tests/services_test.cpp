@@ -4,9 +4,13 @@
 // request/response level.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+
 #include "apps/miniredis/services.hpp"
 #include "apps/miniredis/workload.hpp"
 #include "apps/minisuricata/services.hpp"
+#include "obs/metrics.hpp"
 #include "patterns/baselines.hpp"
 
 namespace csaw {
@@ -151,6 +155,137 @@ TEST(Services, SuricataSteeringPreservesEveryPacket) {
   std::uint64_t total = 0;
   for (auto c : svc.shard_packet_counts()) total += c;
   EXPECT_EQ(total, static_cast<std::uint64_t>(kPackets));
+}
+
+// --- the correlated front door ---------------------------------------------------
+
+TEST(FrontDoor, LateReplyIsDroppedCountedAndNextCallerGetsItsOwn) {
+  using namespace std::chrono_literals;
+  obs::Metrics metrics;
+  miniredis::FrontDoor<int, std::string> door;
+  door.attach(&metrics);
+
+  // The junction takes request 1, but its caller times out before the reply.
+  const auto first = door.submit(1);
+  ASSERT_EQ(door.take(1s), 1);
+  EXPECT_FALSE(door.wait(first, 10ms).has_value());
+
+  // The next caller submits; then the late reply to request 1 arrives.
+  const auto second = door.submit(2);
+  door.reply("reply-to-1");
+  EXPECT_EQ(door.late_replies(), 1u);
+  EXPECT_EQ(metrics.counter("frontdoor_late_replies").value(), 1u);
+
+  // The next caller still gets its own answer, not the late one.
+  ASSERT_EQ(door.take(1s), 2);
+  door.reply("reply-to-2");
+  EXPECT_EQ(door.wait(second, 1s), "reply-to-2");
+
+  // A request that timed out before any run took it is withdrawn.
+  const auto withdrawn = door.submit(3);
+  EXPECT_FALSE(door.wait(withdrawn, 10ms).has_value());
+  const auto fourth = door.submit(4);
+  ASSERT_EQ(door.take(1s), 4);
+  door.reply("reply-to-4");
+  EXPECT_EQ(door.wait(fourth, 1s), "reply-to-4");
+  EXPECT_EQ(door.late_replies(), 1u);
+}
+
+// Four callers on disjoint keys, each value derived from its key and
+// version, so a reply that belongs to another request is always visible.
+// Returns the number of such misattributed replies.
+std::uint64_t misattributed_replies(miniredis::Service& svc) {
+  constexpr int kCallers = 4;
+  constexpr int kKeys = 16;
+  constexpr int kOps = 150;
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> errors{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<int> version(kKeys, 0);
+      auto key = [t](int k) {
+        return "c" + std::to_string(t) + "-k" + std::to_string(k);
+      };
+      auto value = [&](int k) {
+        return key(k) + "=v" + std::to_string(version[k]);
+      };
+      for (int i = 0; i < kOps; ++i) {
+        const int k = i % kKeys;
+        // The first pass writes every key; after that, every fourth op
+        // writes a new version and the rest read.
+        const bool write = i < kKeys || i % 4 == 0;
+        if (write) ++version[k];
+        auto r = svc.request(write ? set_cmd(key(k), value(k))
+                                   : get_cmd(key(k)));
+        if (!r.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        const bool mine = write ? (r->found && r->value.empty())
+                                : (r->found && r->value == value(k));
+        if (!mine) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(errors.load(), 0u) << svc.name();
+  return wrong.load();
+}
+
+TEST(Services, ConcurrentCallersGetOnlyTheirOwnReplies) {
+  using Factory = std::function<std::unique_ptr<miniredis::Service>()>;
+  const std::vector<Factory> factories = {
+      [] { return std::make_unique<miniredis::BaselineService>(0); },
+      [] {
+        miniredis::CheckpointedService::Options o;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::CheckpointedService>(o);
+      },
+      [] {
+        miniredis::ShardedService::Options o;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::ShardedService>(o);
+      },
+      [] {
+        miniredis::ShardedService::Options o;
+        o.mode = miniredis::ShardedService::Mode::kByObjectSize;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::ShardedService>(o);
+      },
+      [] {
+        miniredis::CachedService::Options o;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::CachedService>(o);
+      },
+      [] {
+        miniredis::CachedService::Options o;
+        o.cache_enabled = false;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::CachedService>(o);
+      },
+      [] {
+        miniredis::ReplicatedService::Options o;
+        o.mode = miniredis::ReplicatedService::Mode::kChain;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::ReplicatedService>(o);
+      },
+      [] {
+        miniredis::ReplicatedService::Options o;
+        o.mode = miniredis::ReplicatedService::Mode::kQuorum;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::ReplicatedService>(o);
+      },
+      [] {
+        miniredis::RebalancedService::Options o;
+        o.op_cost_ns = 0;
+        return std::make_unique<miniredis::RebalancedService>(o);
+      },
+  };
+  for (const auto& make : factories) {
+    auto svc = make();
+    EXPECT_EQ(misattributed_replies(*svc), 0u) << svc->name();
+  }
 }
 
 // --- direct-C++ baselines (Table 2 control) -----------------------------------
