@@ -17,8 +17,9 @@ Router::~Router() {
   thread_.join();
 }
 
-void Router::send(Envelope env, std::size_t payload_bytes) {
-  std::scoped_lock lock(mu_);
+void Router::send(Envelope env, std::size_t payload_bytes,
+                  std::unique_lock<std::mutex>* held) {
+  std::unique_lock lock(mu_);
   ++counters_.sent;
   const Symbol from = env.from_instance;
   const Symbol to = env.to.instance;
@@ -33,7 +34,20 @@ void Router::send(Envelope env, std::size_t payload_bytes) {
     ++counters_.dropped;
     return;
   }
-  env.deliver_at = steady_now() + link.transfer_time(payload_bytes, rng_.uniform());
+  const SteadyTime now = steady_now();
+  const Nanos delay = link.transfer_time(payload_bytes, rng_.uniform());
+  // Zero-delay link with nothing due ahead of it: deliver on this thread.
+  // An envelope already due (queued, or being handed over by the delivery
+  // thread right now) goes first, so this one queues behind it.
+  if (delay <= Nanos::zero() && !draining_ &&
+      (queue_.empty() || queue_.top().deliver_at > now)) {
+    ++counters_.delivered;
+    lock.unlock();
+    if (held != nullptr) held->unlock();
+    deliver_(std::move(env));
+    return;
+  }
+  env.deliver_at = now + delay;
   queue_.push(std::move(env));
   cv_.notify_all();
 }
@@ -79,9 +93,11 @@ void Router::run() {
     Envelope env = queue_.top();
     queue_.pop();
     ++counters_.delivered;
+    draining_ = true;
     lock.unlock();
     deliver_(std::move(env));
     lock.lock();
+    draining_ = false;
   }
 }
 

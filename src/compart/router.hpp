@@ -1,10 +1,19 @@
-// The message router: a single delivery thread draining a time-ordered queue.
+// The message router: link faults and delays between instances.
 //
-// Senders never block in the router (they block, if at all, awaiting acks in
-// the Runtime); the delivery thread never blocks on instance state (table
-// enqueue is lock-brief). This keeps the system deadlock-free by
-// construction: there is exactly one blocking edge (sender -> ack) and it
-// carries a deadline.
+// A zero-delay envelope is delivered on the sender's thread, inside send(),
+// unless an envelope already due is still ahead of it (queued, or being
+// handed over by the delivery thread), in which case it queues behind that
+// one. Delayed envelopes (latency or bandwidth models) wait in a time-ordered
+// queue drained by one delivery thread. Partitions, drops and the counters
+// apply identically on both paths.
+//
+// Deadlock freedom: deliver_ always runs with the router lock released, so a
+// delivery may itself send (a push's ack re-enters send() one level deep).
+// Delivery takes only leaf locks (instance state, table, scheduler wake, ack
+// map, transport queue) and never waits on them. No sender holds one of
+// them across an inline delivery: the runtime admits an ack under the
+// receiving instance's lock and hands that lock over as `held`. The one
+// blocking edge is still sender -> ack, and it carries a deadline.
 #pragma once
 
 #include <condition_variable>
@@ -32,8 +41,12 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Schedules `env` for delivery after the (from,to)-link's delay; may drop.
-  void send(Envelope env, std::size_t payload_bytes);
+  // Delivers `env` after the (from,to)-link's delay -- before returning, on
+  // this thread, when that delay is zero; may drop. A caller that must keep
+  // its own lock across the admission (partition, drop, delay draws) passes
+  // it as `held`: it is released before an inline delivery.
+  void send(Envelope env, std::size_t payload_bytes,
+            std::unique_lock<std::mutex>* held = nullptr);
 
   // Per-instance-pair link override; (a,b) is directional.
   void set_link(Symbol from, Symbol to, LinkModel model);
@@ -70,6 +83,7 @@ class Router {
   };
   std::priority_queue<Envelope, std::vector<Envelope>, Later> queue_;
   bool stop_ = false;
+  bool draining_ = false;  // the delivery thread is handing one over
   std::thread thread_;  // started last, joined in destructor
 };
 

@@ -211,6 +211,10 @@ Runtime::~Runtime() {
       }
     }
   }
+  // The transport's event loop delivers into this runtime, and a delivery
+  // sends its ack through router_ (on this zero-delay path, inline) --
+  // router_ dies before tcp_, so the loop stops first.
+  if (tcp_ != nullptr) tcp_->stop();
 }
 
 std::uint64_t Runtime::bump_epoch() {
@@ -486,6 +490,7 @@ Status Runtime::start(Symbol instance) {
       }
     }
     jrt->pending_schedules = 0;
+    jrt->schedules_issued = jrt->completed;
     jrt->guard_rejections = 0;
     jrt->eval_active = false;
     jrt->blocked_traced = false;
@@ -701,8 +706,9 @@ Status Runtime::push(PushRequest req) {
   push_event(obs::TraceEvent::Kind::kPushSent, seq, 0);
   router_->send(std::move(env), payload);
 
-  // Announced lazily: only an ack wait that actually parks is blocking
-  // (in-process acks usually land before the first slice).
+  // Announced lazily: only an ack wait that actually parks is blocking. On
+  // a zero-delay in-process link the router delivered the push, and its ack,
+  // on this thread before send() returned, so the first look finds it.
   std::optional<ScopedBlockingRegion> blocking;
   std::unique_lock lock(ack_mu_);
   while (true) {
@@ -784,6 +790,7 @@ Status Runtime::schedule(Symbol instance, Symbol junction) {
                       "unknown junction '" + junction.str() + "'");
   }
   ++jrt->pending_schedules;
+  ++jrt->schedules_issued;
   inst->cv.notify_all();
   sched_->wake(jrt->entity);
   if (ins_.junction_scheduled != nullptr) ins_.junction_scheduled->add();
@@ -810,7 +817,12 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
       return make_error(Errc::kUndefinedName,
                         "unknown junction '" + junction.str() + "'");
     }
-    target = jrt->completed + 1;
+    // A manual junction's runs serve requests in order: wait for the run
+    // holding our ticket, not merely the next one to finish (which may be
+    // serving a request queued before ours). An auto junction consumes no
+    // requests, so its next completed run is the one we asked for.
+    target = jrt->desc.auto_schedule ? jrt->completed + 1
+                                     : ++jrt->schedules_issued;
     rejections_before = jrt->guard_rejections;
     ++jrt->pending_schedules;
     inst->cv.notify_all();
@@ -1260,17 +1272,21 @@ void Runtime::deliver(Envelope&& env) {
     send_ack(env, true, "unknown instance " + env.to.instance.str());
     return;
   }
-  std::scoped_lock lock(inst->mu);
+  // Each ack is admitted by the router (partition, drop and delay drawn)
+  // under inst->mu, which the receiver's next eval takes first, so its
+  // reaction to this update cannot reach the router before the ack; the
+  // router releases inst->mu before delivering the ack on this thread.
+  std::unique_lock lock(inst->mu);
   if (inst->state != InstanceRt::State::kRunning) {
     if (options_.nack_when_down) {
-      send_ack(env, true, env.to.qualified() + " is down");
+      send_ack(env, true, env.to.qualified() + " is down", &lock);
     }
     // else: vanish; the sender discovers the failure by timeout.
     return;
   }
   auto* jrt = find_junction(*inst, env.to.junction);
   if (jrt == nullptr) {
-    send_ack(env, true, "unknown junction " + env.to.qualified());
+    send_ack(env, true, "unknown junction " + env.to.qualified(), &lock);
     return;
   }
   auto st = jrt->table->enqueue(env.update);
@@ -1280,14 +1296,14 @@ void Runtime::deliver(Envelope&& env) {
   }
   inst->cv.notify_all();
   if (st.ok()) {
-    send_ack(env, false, {});
+    send_ack(env, false, {}, &lock);
   } else {
-    send_ack(env, true, st.error().to_string());
+    send_ack(env, true, st.error().to_string(), &lock);
   }
 }
 
 void Runtime::send_ack(const Envelope& original, bool nack,
-                       std::string reason) {
+                       std::string reason, std::unique_lock<std::mutex>* held) {
   if (original.seq == 0) return;  // fire-and-forget
   Envelope ack;
   ack.kind = Envelope::Kind::kAck;
@@ -1303,7 +1319,7 @@ void Runtime::send_ack(const Envelope& original, bool nack,
     ack.ctx = obs::TraceContext{original.ctx->trace_id, original.ctx->span_id,
                                 hlc_.tick()};
   }
-  router_->send(std::move(ack), 16);
+  router_->send(std::move(ack), 16, held);
 }
 
 }  // namespace csaw

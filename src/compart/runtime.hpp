@@ -384,6 +384,11 @@ class Runtime {
     std::unique_ptr<Wal> wal;  // non-null only while durability is on
     std::uint64_t pending_schedules = 0;  // guarded by InstanceRt::mu
     std::uint64_t completed = 0;
+    // Schedule requests made on a manual junction, as a run count (guarded
+    // by InstanceRt::mu; re-based to `completed` at start, which discards
+    // the pending ones). Each run consumes one request in order, so the
+    // request numbered k is served by run k: call() waits for that run.
+    std::uint64_t schedules_issued = 0;
     // Guard evaluations that said no while a schedule request was pending
     // (guarded by InstanceRt::mu); call() diffs this to tell guard
     // rejection apart from timeout.
@@ -524,7 +529,10 @@ class Runtime {
   // Caller holds reg_mu_.
   void resolve_wake_plan_locked(InstanceRt& inst);
   void deliver(Envelope&& env);
-  void send_ack(const Envelope& original, bool nack, std::string reason);
+  // `held` (the receiving instance's mu) is released by the router before
+  // an inline delivery of the ack.
+  void send_ack(const Envelope& original, bool nack, std::string reason,
+                std::unique_lock<std::mutex>* held = nullptr);
   Status stop_locked_state(InstanceRt& inst, InstanceRt::State final_state);
 
   RuntimeOptions options_;

@@ -12,7 +12,7 @@
 //     never get lost.
 //   * A fixed pool of workers (SchedulerOptions::workers, default
 //     max(2, min(8, hw))) drains the ready queue. Producers (KV change
-//     listeners, delivery threads, schedule()) push lock-free (Vyukov
+//     listeners on delivering threads, schedule()) push lock-free (Vyukov
 //     intrusive MPSC); only consumers serialize on a pop mutex. Idle
 //     workers park on a condvar: an idle deployment costs zero CPU.
 //   * Wakes are driven by static guard analysis (core/deps.cpp): a key

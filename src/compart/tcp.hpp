@@ -103,6 +103,10 @@ class TcpTransport {
                obs::Profiler* profiler = nullptr);
   ~TcpTransport();
 
+  // Joins the event loop, so `deliver` is never called again; sends after
+  // this only queue. Idempotent; the destructor calls it.
+  void stop();
+
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 

@@ -19,7 +19,8 @@
 //   * Transaction blocks snapshot/restore the table contents for rollback.
 //
 // Thread-safety: the owning junction thread calls the local-side methods;
-// channel delivery threads call `enqueue`. All state is guarded by one
+// channel deliveries call `enqueue` from whichever thread delivers (a
+// sender's, the router's or the transport's). All state is guarded by one
 // mutex; `wait` blocks on a condition variable that `enqueue` signals.
 #pragma once
 
@@ -117,7 +118,7 @@ class KvTable {
   // kUnreachable.
   void interrupt();
 
-  // --- remote side (delivery threads) -----------------------------------
+  // --- remote side (any delivering thread) -----------------------------
   // Queues (or admits, when waiting) one pushed update. kUndefinedName if
   // the key was never declared here.
   Status enqueue(const Update& update);

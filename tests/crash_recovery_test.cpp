@@ -109,6 +109,11 @@ TEST(CrashRecovery, RestartOfProcessRecoversAppliedState) {
     ASSERT_TRUE(push_value(rt, "a", "before-crash").ok());
     ASSERT_TRUE(eventually([&] { return read_value(rt, "a") ==
                                         "before-crash"; }));
+    // The value can be applied by the eval that precedes the Work push, and
+    // push() acks at table-enqueue time: wait for the run that retracts
+    // Work, or teardown drains the still-pending assert into the WAL.
+    ASSERT_TRUE(eventually(
+        [&] { return rt.runs_completed(Symbol("a"), Symbol("j")) >= 1; }));
   }  // runtime destroyed: "the process died"
   RuntimeOptions opts;
   opts.durability_dir = dir.path;

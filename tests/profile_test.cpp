@@ -279,6 +279,10 @@ TEST(ProfileTest, DestructorWritesProfileOut) {
     rt.add_instance(worker_instance("solo", 500'000));
     ASSERT_TRUE(rt.start(Symbol("solo")).ok());
     ASSERT_TRUE(push_work(rt, "solo").ok());
+    // push() acks at table-enqueue time, not after the body runs: let the
+    // run land before teardown stops the instance.
+    ASSERT_TRUE(eventually(
+        [&] { return rt.runs_completed(Symbol("solo"), Symbol("j")) >= 1; }));
   }
   const auto loaded = obs::load_cost_profile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();

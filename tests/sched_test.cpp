@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -189,6 +191,65 @@ TEST(SchedWakeups, ConcurrentCallsAllComplete) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kThreads * kCalls);
   EXPECT_GE(runs.load(), kThreads * kCalls);
+}
+
+TEST(SchedWakeups, CallWaitsForItsOwnRun) {
+  // The first run is held inside its body while three more callers queue
+  // behind it; the later runs take a while each. Each call() returns only
+  // once the run serving its own request completed: when all four have
+  // returned, four runs did.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool entered = false;
+  bool open = false;
+  std::atomic<int> runs{0};
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.body = [&](JunctionEnv&) {
+    {
+      std::unique_lock lock(gate_mu);
+      if (!entered) {
+        entered = true;
+        gate_cv.notify_all();
+        gate_cv.wait(lock, [&] { return open; });
+      } else {
+        lock.unlock();
+        std::this_thread::sleep_for(20ms);
+      }
+    }
+    runs.fetch_add(1);
+  };
+  InstanceDesc d;
+  d.name = Symbol("a");
+  d.type = Symbol("manual");
+  d.junctions.push_back(std::move(j));
+  Runtime rt;
+  rt.add_instance(std::move(d));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  constexpr int kCallers = 4;
+  std::atomic<int> ok{0};
+  const auto caller = [&] {
+    if (rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok()) {
+      ok.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(caller);
+  {
+    std::unique_lock lock(gate_mu);
+    ASSERT_TRUE(gate_cv.wait_for(lock, 10s, [&] { return entered; }));
+  }
+  for (int t = 1; t < kCallers; ++t) threads.emplace_back(caller);
+  // Let the queued callers register their requests before the gate opens.
+  std::this_thread::sleep_for(100ms);
+  {
+    std::scoped_lock lock(gate_mu);
+    open = true;
+  }
+  gate_cv.notify_all();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok.load(), kCallers);
+  EXPECT_EQ(runs.load(), kCallers);
 }
 
 // --- blocked workers -------------------------------------------------------
