@@ -806,6 +806,7 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
   }
   std::uint64_t target;
   std::uint64_t rejections_before;
+  Scheduler::Entity* run_here = nullptr;
   {
     std::scoped_lock lock(inst->mu);
     if (inst->state != InstanceRt::State::kRunning) {
@@ -826,10 +827,20 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
     rejections_before = jrt->guard_rejections;
     ++jrt->pending_schedules;
     inst->cv.notify_all();
-    sched_->wake(jrt->entity);
+    if (jrt->desc.auto_schedule) {
+      sched_->wake(jrt->entity);
+    } else {
+      run_here = jrt->entity;
+    }
   }
   if (ins_.junction_scheduled != nullptr) ins_.junction_scheduled->add();
   trace(obs::TraceEvent::Kind::kJunctionScheduled, instance, junction);
+  // Run-to-completion handoff: an idle manual junction runs its eval on
+  // this thread rather than paying a wake to a worker and one back. Busy
+  // junctions, and calls made from inside a body, take the pool path.
+  if (run_here != nullptr && !sched_->run_inline(run_here)) {
+    sched_->wake(run_here);
+  }
   // Lazy blocking announcement: a body call()ing another junction must not
   // pin its worker while it waits (the pool spawns a spare), but the common
   // already-completed path must not spawn one.
@@ -877,6 +888,13 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
     } else {
       inst->cv.wait_until(lock, deadline.when());
     }
+  }
+  // Our run completed, but a stop that landed before now may have cut its
+  // body short (its waits and pushes fail). An inline run gets here only
+  // after its body returned, so this is where it sees the stop.
+  if (inst->state != InstanceRt::State::kRunning) {
+    return make_error(Errc::kUnreachable,
+                      "instance '" + instance.str() + "' went down mid-call");
   }
   return Status::ok_status();
 }

@@ -300,7 +300,19 @@ class Runtime {
   Status inject(const JunctionAddr& to, Update update);
   // Requests one run of a (manual) junction.
   Status schedule(Symbol instance, Symbol junction);
-  // schedule() + block until that run completes.
+  // schedule() + block until that run completes. Runs of one junction stay
+  // serialized, and a manual junction's runs serve calls in ticket order,
+  // so each caller waits for the run that took its own request.
+  //
+  // Which thread runs the body: when the junction is manual and idle, and
+  // the calling thread is not itself inside a junction eval, the eval runs
+  // on the calling thread (Scheduler::run_inline). That call returns once
+  // the body finishes, however long it blocks, so the deadline bounds only
+  // the wait for a run that has not started. Otherwise -- auto junctions,
+  // a junction queued or running, calls from inside a body -- a pool
+  // worker runs it, as schedule() does. A guard that is false at the call
+  // leaves the request pending, and the worker woken by the guard's flip
+  // serves it.
   Status call(Symbol instance, Symbol junction, Deadline deadline = {});
 
   // --- accessors --------------------------------------------------------------

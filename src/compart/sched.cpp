@@ -9,11 +9,26 @@
 namespace csaw {
 namespace {
 
-// Blocked-time attribution: the entity whose eval is running on this worker
-// and the steady timestamp of the outermost blocking-region entry. Written
-// only by the owning worker thread.
+// Blocked-time attribution: the entity whose eval is running on this thread
+// (a worker, or a caller inside run_inline) and the steady timestamp of the
+// outermost blocking-region entry. Written only by the owning thread.
 thread_local Scheduler::Entity* t_running_entity = nullptr;
 thread_local std::uint64_t t_block_started_ns = 0;
+
+void note_block_start() {
+  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
+    t_block_started_ns = steady_ns();
+  }
+}
+
+void note_block_end() {
+  if (t_block_started_ns == 0) return;
+  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
+    t_running_entity->prof->blocked_ns.fetch_add(
+        steady_ns() - t_block_started_ns, std::memory_order_relaxed);
+  }
+  t_block_started_ns = 0;
+}
 
 }  // namespace
 
@@ -29,6 +44,7 @@ Scheduler::Scheduler(SchedulerOptions options, obs::Metrics* metrics)
     evals_ = &metrics->counter("sched_evals");
     spurious_ = &metrics->counter("sched_evals_spurious");
     timer_fires_ = &metrics->counter("sched_timer_fires");
+    inline_runs_ = &metrics->counter("sched_inline_runs");
     ready_depth_ = &metrics->gauge("sched_ready_depth");
     workers_gauge_ = &metrics->gauge("sched_workers");
     workers_blocked_ = &metrics->gauge("sched_workers_blocked");
@@ -74,6 +90,11 @@ void Scheduler::stop() {
     // called from the runtime's stop path and the destructor, which the
     // runtime serializes, so just bail.
     return;
+  }
+  // Inline runs end like worker evals do: the runtime has already
+  // interrupted any body blocked in one.
+  while (inline_active_.load(std::memory_order_seq_cst) != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   if (!started_.load()) return;
   {
@@ -200,8 +221,33 @@ void Scheduler::wake(Entity* entity) {
   }
 }
 
+bool Scheduler::run_inline(Entity* entity) {
+  if (t_running_entity != nullptr) return false;  // nested: keep the pool
+  // seq_cst: pairs with stop()'s stopping_ store, so either stop() sees
+  // this run in flight or this run sees stopping_.
+  inline_active_.fetch_add(1, std::memory_order_seq_cst);
+  std::uint32_t idle = kIdle;
+  const bool claimed =
+      !stopping_.load(std::memory_order_seq_cst) &&
+      entity->state.compare_exchange_strong(idle, kRunning,
+                                            std::memory_order_acq_rel);
+  if (claimed) {
+    if (inline_runs_ != nullptr) inline_runs_->add();
+    // Only pool workers carry blocking hooks. Give the caller ones that
+    // attribute blocked time but spawn no spare: the caller's own thread is
+    // the one blocking, and no runnable junction is waiting behind it.
+    BlockingHooks& hooks = thread_blocking_hooks();
+    const BlockingHooks saved = hooks;
+    hooks.enter = [](void*) { note_block_start(); };
+    hooks.exit = [](void*) { note_block_end(); };
+    run_entity(entity);
+    hooks = saved;
+  }
+  inline_active_.fetch_sub(1, std::memory_order_seq_cst);
+  return claimed;
+}
+
 void Scheduler::run_entity(Entity* entity) {
-  entity->state.store(kRunning, std::memory_order_release);
   obs::JunctionProfile* prof = entity->prof;
   const auto woke = entity->wake_ns.exchange(0, std::memory_order_relaxed);
   if (woke != 0 && (wake_to_eval_ != nullptr || prof != nullptr)) {
@@ -281,6 +327,10 @@ void Scheduler::worker_main() {
     }
     ready_count_.fetch_sub(1, std::memory_order_seq_cst);
     if (ready_depth_ != nullptr) ready_depth_->sub();
+    // A queued entity leaves kQueued only here, so a plain store is safe.
+    // (run_inline claims an idle one by CAS instead: a wake may land on it
+    // the moment it reads kRunning, and a store would erase that rearm.)
+    entity->state.store(kRunning, std::memory_order_release);
     run_entity(entity);
   }
   hooks = BlockingHooks{};
@@ -289,9 +339,7 @@ void Scheduler::worker_main() {
 void Scheduler::on_worker_block() {
   blocked_.fetch_add(1, std::memory_order_seq_cst);
   if (workers_blocked_ != nullptr) workers_blocked_->add();
-  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
-    t_block_started_ns = steady_ns();
-  }
+  note_block_start();
   std::scoped_lock lock(spawn_mu_);
   if (stopping_.load()) return;
   // Keep the pool's *unblocked* head-count at the configured size: a body
@@ -303,13 +351,7 @@ void Scheduler::on_worker_block() {
 void Scheduler::on_worker_unblock() {
   blocked_.fetch_sub(1, std::memory_order_seq_cst);
   if (workers_blocked_ != nullptr) workers_blocked_->sub();
-  if (t_block_started_ns != 0) {
-    if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
-      t_running_entity->prof->blocked_ns.fetch_add(
-          steady_ns() - t_block_started_ns, std::memory_order_relaxed);
-    }
-    t_block_started_ns = 0;
-  }
+  note_block_end();
 }
 
 // --- timer wheel ------------------------------------------------------------

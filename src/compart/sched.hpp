@@ -26,6 +26,16 @@
 //     spare so runnable junctions never starve behind a parked one.
 //     Spares persist until shutdown, so growth is bounded by the peak
 //     number of concurrently blocked bodies.
+//
+// Who runs an eval: normally a pool worker, after a wake. The one
+// exception is run_inline(), which the runtime's call() uses on an idle
+// manual junction: the thread that called call() runs the eval itself,
+// so the request pays no wake-up hop to a worker and no wake-up hop back.
+// The state machine is the same either way, so runs stay serialized, and
+// a rearm at the end of an inline run requeues to the pool. Blocked time
+// in an inline body is attributed to its profile, but the caller is not
+// a pool worker: it spawns no spare and never counts in
+// sched_workers_blocked.
 #pragma once
 
 #include <atomic>
@@ -150,6 +160,14 @@ class Scheduler {
   // running eval sets the rearm bit instead of double-queueing.
   void wake(Entity* entity);
 
+  // Runs one eval of an idle entity on the calling thread, as if a worker
+  // had popped it (the `sched_inline_runs` counter counts these). Returns
+  // false and does nothing when the entity is queued or running, when the
+  // scheduler is stopping, or when the calling thread is already inside
+  // an eval; the caller then falls back to wake(). stop() waits for
+  // in-flight inline runs, as it joins workers.
+  bool run_inline(Entity* entity);
+
   // Arms a one-shot timer-wheel wake, rounded up to the wheel tick.
   // Coalesces with an already-armed timer for the same entity.
   void poll_after(Entity* entity, Nanos delay);
@@ -167,7 +185,7 @@ class Scheduler {
   void enqueue_ready(Entity* entity);
   void maybe_unpark();
   void idle_park();
-  void run_entity(Entity* entity);
+  void run_entity(Entity* entity);  // entity already moved to kRunning
   void worker_main();
   void timer_main();
   void spawn_worker_locked();
@@ -203,6 +221,8 @@ class Scheduler {
   std::vector<std::thread> worker_threads_;  // under spawn_mu_ until stop
   int total_spawned_ = 0;                    // under spawn_mu_
   std::atomic<int> blocked_{0};
+  // Inline runs in flight on caller threads; stop() waits for zero.
+  std::atomic<int> inline_active_{0};
 
   // --- timer wheel -------------------------------------------------------
   struct TimerEntry {
@@ -222,10 +242,11 @@ class Scheduler {
   obs::Counter* evals_ = nullptr;           // eval callbacks run
   obs::Counter* spurious_ = nullptr;        // evals whose guard was false
   obs::Counter* timer_fires_ = nullptr;     // wheel-driven wakes
+  obs::Counter* inline_runs_ = nullptr;     // evals run by run_inline
   obs::Gauge* ready_depth_ = nullptr;       // current ready-queue depth
   obs::Gauge* workers_gauge_ = nullptr;     // pool size incl. spares
   obs::Gauge* workers_blocked_ = nullptr;   // workers inside blocking waits
-  obs::Gauge* workers_busy_ = nullptr;      // workers currently in an eval
+  obs::Gauge* workers_busy_ = nullptr;      // threads currently in an eval
   obs::Histogram* wake_to_eval_ = nullptr;  // queue latency, ns
   obs::Histogram* queue_delay_us_ = nullptr;  // queue latency, us (profile twin)
   obs::Histogram* body_cpu_us_ = nullptr;     // per-eval thread CPU, us

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "core/builder.hpp"
 #include "core/compile.hpp"
@@ -62,20 +64,45 @@ struct Fixture {
     return engine->call("Act", "j",
                         Deadline::after(std::chrono::seconds(timeout_s)));
   }
+
+  // Waits until the auditor has finished with the last round: its Work is
+  // retracted, no update waits in its table, and no junction is mid-eval
+  // (Aud's in-flight retraction blocks inside its eval). Act's round can
+  // end on its 150 ms timeout microseconds before Aud's own 150 ms retry
+  // timer fires. Starting the next round inside that window makes its
+  // Work meet the retry, so two audits merge into one, and the count
+  // would measure which timeout won the race, not the protocol. Needs
+  // RuntimeOptions::metrics (the sched_workers_busy gauge).
+  void settle(obs::Metrics& metrics) {
+    auto& rt = engine->runtime();
+    const auto give_up = Deadline::after(std::chrono::seconds(10));
+    while (!give_up.expired()) {
+      const KvTable& aud = rt.table(Symbol("Aud"), Symbol("j"));
+      if (metrics.gauge("sched_workers_busy").value() == 0 &&
+          !*aud.prop(Symbol("Work")) && aud.durable_state().pending.empty()) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "auditor still busy 10 s after the round";
+  }
 };
 
 TEST(FaultInjection, LossyLinkStillMakesProgress) {
   // 30% message loss with timeout-based discovery: the architecture's
   // otherwise/Retried logic keeps snapshots flowing, at the cost of
   // complaints for rounds whose retries also failed.
+  obs::Metrics metrics;
   RuntimeOptions ropts;
   ropts.nack_when_down = false;
   ropts.default_link.drop_prob = 0.30;
   ropts.seed = 7;
+  ropts.metrics = &metrics;
   Fixture fx(ropts);
   constexpr int kRounds = 12;
   for (int i = 0; i < kRounds; ++i) {
     ASSERT_TRUE(fx.snapshot_once(20).ok()) << "round " << i;
+    fx.settle(metrics);
   }
   // Despite the losses, a solid majority of rounds audited successfully.
   EXPECT_GE(fx.counters->audited.load(), kRounds / 2);
@@ -106,8 +133,10 @@ TEST(FaultInjection, RetriedFlagRetriesRemoteRetraction) {
   // Drop exactly the auditor's first retraction: Aud's `retract [Act] Work
   // otherwise[t] ...assert Retried...reconsider` must retry and succeed the
   // second time (Fig 4's annotated behavior / Fig 22's structure).
+  obs::Metrics metrics;
   RuntimeOptions ropts;
   ropts.nack_when_down = false;
+  ropts.metrics = &metrics;
   Fixture fx(ropts, /*timeout_ms=*/150);
 
   // Drop Aud->Act traffic only for the retraction window: partition just
@@ -120,6 +149,7 @@ TEST(FaultInjection, RetriedFlagRetriesRemoteRetraction) {
   int ok_rounds = 0;
   for (int i = 0; i < 10; ++i) {
     if (fx.snapshot_once(20).ok()) ++ok_rounds;
+    fx.settle(metrics);
   }
   EXPECT_EQ(ok_rounds, 10);             // the junction call itself never wedges
   EXPECT_GE(fx.counters->audited.load(), 5);

@@ -1,6 +1,7 @@
 // Cost-profiler tests: body CPU attributed to the junction that burned it,
 // ready-queue delay visible under a starved one-worker pool (and exported
-// through the sched_* metrics histograms), CostProfile JSON round-trips,
+// through the sched_* metrics histograms), blocked time of a body run on a
+// call()er's own thread, CostProfile JSON round-trips,
 // cross-process merge preserves CPU/eval totals exactly, the destructor
 // writes profile_out, and --diff flags regressions in both document modes.
 #include <gtest/gtest.h>
@@ -176,6 +177,58 @@ TEST(ProfileTest, QueueDelayNonzeroUnderOneWorker) {
   EXPECT_GT(metrics.histogram("sched_queue_delay_us").count(), 0u);
   EXPECT_GT(metrics.histogram("sched_body_cpu_us").count(), 0u);
   EXPECT_GT(metrics.histogram("sched_body_cpu_us").sum(), 0u);
+}
+
+// --- blocked time on the caller's thread -----------------------------------
+
+TEST(ProfileTest, BlockedTimeOfAnInlineCallIsAttributed) {
+  // call() runs an idle manual junction on the calling thread, which is not
+  // a pool worker. Its body's `wait` must still count as blocked time, and
+  // must not grow the pool the way a blocked worker does.
+  obs::Metrics metrics;
+  obs::Profiler profiler;
+  RuntimeOptions opts;
+  opts.profiler = &profiler;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::atomic<bool> armed{false};
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.table_spec.props = {{kWork, false}};
+  j.body = [&armed](JunctionEnv& env) {
+    if (!armed.load()) return;
+    (void)env.table().wait([](const TableView&) { return false; }, {},
+                           Deadline::after(25ms));
+  };
+  InstanceDesc d;
+  d.name = Symbol("waiter");
+  d.type = Symbol("waiter");
+  d.junctions.push_back(std::move(j));
+  rt.add_instance(std::move(d));
+  ASSERT_TRUE(rt.start(Symbol("waiter")).ok());
+  // start() queues one eval, so the first call may find the junction
+  // queued and take the pool path; once one call ran inline, the junction
+  // is idle and the next call runs inline too.
+  auto& inline_runs = metrics.counter("sched_inline_runs");
+  for (int i = 0; i < 100 && inline_runs.value() == 0; ++i) {
+    ASSERT_TRUE(
+        rt.call(Symbol("waiter"), Symbol("j"), Deadline::after(5s)).ok());
+  }
+  ASSERT_GT(inline_runs.value(), 0u);
+  const auto inline_before = inline_runs.value();
+  const auto pool_before = metrics.gauge("sched_workers").value();
+  armed = true;
+  ASSERT_TRUE(
+      rt.call(Symbol("waiter"), Symbol("j"), Deadline::after(5s)).ok());
+  EXPECT_EQ(inline_runs.value(), inline_before + 1);
+  EXPECT_EQ(metrics.gauge("sched_workers").value(), pool_before);
+  EXPECT_EQ(metrics.gauge("sched_workers_blocked").value(), 0);
+  rt.shutdown();
+
+  const auto profile = profiler.snapshot();
+  const auto* waiter = find_junction(profile, "waiter");
+  ASSERT_NE(waiter, nullptr);
+  EXPECT_GE(waiter->blocked_ns, 20'000'000u);
 }
 
 // --- serialization & merge -------------------------------------------------

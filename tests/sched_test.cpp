@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -289,6 +290,231 @@ TEST(SchedPool, BlockedBodyDoesNotStarveRunnableJunctions) {
   ASSERT_TRUE(push_assert(rt, "free", kWork).ok());
   // Well inside the blocker's 2 s park: only a spare can run this.
   EXPECT_TRUE(eventually([&] { return free_runs.load() >= 1; }, 1500ms));
+}
+
+// --- call() runs an idle manual junction on the caller's thread -------------
+
+InstanceDesc manual_instance(std::string_view name,
+                             std::function<void(JunctionEnv&)> body,
+                             GuardFn guard = nullptr) {
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.table_spec.props = {{kWork, false}};
+  j.body = std::move(body);
+  if (guard) {
+    j.guard = std::move(guard);
+    j.wake_plan.analyzed = true;
+    j.wake_plan.keys = {kWork};
+  }
+  InstanceDesc d;
+  d.name = Symbol(name);
+  d.type = Symbol("manual");
+  d.junctions.push_back(std::move(j));
+  return d;
+}
+
+// start() queues one eval of every junction, so a call() right after it
+// may find the junction queued and take the pool path. Calls until one
+// runs inline: an inline run leaves the junction idle when it returns, so
+// with no other waker the next call() runs inline too.
+void warm_up_inline(Runtime& rt, obs::Metrics& metrics,
+                    std::string_view instance) {
+  const auto& inline_runs = metrics.counter("sched_inline_runs");
+  for (int i = 0; i < 100 && inline_runs.value() == 0; ++i) {
+    ASSERT_TRUE(rt.call(Symbol(instance), Symbol("j"), Deadline::after(5s))
+                    .ok());
+  }
+  ASSERT_GT(inline_runs.value(), 0u);
+}
+
+TEST(SchedInline, CalledBodyRunsOnTheCallersThread) {
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::thread::id ran_on;
+  rt.add_instance(manual_instance(
+      "a", [&](JunctionEnv&) { ran_on = std::this_thread::get_id(); }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  warm_up_inline(rt, metrics, "a");
+  const auto before = metrics.counter("sched_inline_runs").value();
+  ran_on = {};
+  ASSERT_TRUE(rt.call(Symbol("a"), Symbol("j"), Deadline::after(5s)).ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(metrics.counter("sched_inline_runs").value(), before + 1);
+}
+
+TEST(SchedInline, CallOnARunningJunctionGoesToAWorker) {
+  // Caller A's run holds the body at a gate on A's own thread. Caller B
+  // finds the junction running, so its run goes to the pool; B returns
+  // only once that run -- the second -- has completed.
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool armed = false;
+  bool entered = false;
+  bool open = false;
+  std::vector<std::thread::id> ran_on;  // under gate_mu, one per armed run
+  rt.add_instance(manual_instance("a", [&](JunctionEnv&) {
+    std::unique_lock lock(gate_mu);
+    if (!armed) return;
+    ran_on.push_back(std::this_thread::get_id());
+    if (!entered) {
+      entered = true;
+      gate_cv.notify_all();
+      gate_cv.wait(lock, [&] { return open; });
+    }
+  }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  warm_up_inline(rt, metrics, "a");
+  {
+    std::scoped_lock lock(gate_mu);
+    armed = true;
+  }
+  std::thread::id a_id;
+  std::thread::id b_id;
+  std::atomic<bool> a_ok{false};
+  std::atomic<bool> b_ok{false};
+  std::atomic<std::size_t> runs_seen_by_b{0};
+  std::thread a([&] {
+    a_id = std::this_thread::get_id();
+    a_ok = rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok();
+  });
+  {
+    std::unique_lock lock(gate_mu);
+    ASSERT_TRUE(gate_cv.wait_for(lock, 10s, [&] { return entered; }));
+  }
+  std::thread b([&] {
+    b_id = std::this_thread::get_id();
+    b_ok = rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok();
+    std::scoped_lock lock(gate_mu);
+    runs_seen_by_b = ran_on.size();
+  });
+  std::this_thread::sleep_for(50ms);  // let B register its request
+  {
+    std::scoped_lock lock(gate_mu);
+    open = true;
+  }
+  gate_cv.notify_all();
+  a.join();
+  b.join();
+  EXPECT_TRUE(a_ok.load());
+  EXPECT_TRUE(b_ok.load());
+  EXPECT_EQ(runs_seen_by_b.load(), 2u);
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on[0], a_id);
+  EXPECT_NE(ran_on[1], b_id);
+  EXPECT_NE(ran_on[1], a_id);
+}
+
+TEST(SchedInline, CallFromInsideABodyRunsOnAWorker) {
+  // outer runs inline on the test thread and call()s inner from its body:
+  // inner must not run nested on the same thread, and both complete.
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::thread::id outer_on;
+  std::thread::id inner_on;
+  Status inner_status = Status::ok_status();
+  rt.add_instance(manual_instance(
+      "inner", [&](JunctionEnv&) { inner_on = std::this_thread::get_id(); }));
+  rt.add_instance(manual_instance("outer", [&](JunctionEnv&) {
+    outer_on = std::this_thread::get_id();
+    inner_status = rt.call(Symbol("inner"), Symbol("j"), Deadline::after(5s));
+  }));
+  ASSERT_TRUE(rt.start(Symbol("inner")).ok());
+  ASSERT_TRUE(rt.start(Symbol("outer")).ok());
+  warm_up_inline(rt, metrics, "outer");
+  const auto before = metrics.counter("sched_inline_runs").value();
+  ASSERT_TRUE(rt.call(Symbol("outer"), Symbol("j"), Deadline::after(10s)).ok());
+  EXPECT_TRUE(inner_status.ok()) << inner_status.error().to_string();
+  EXPECT_EQ(outer_on, std::this_thread::get_id());
+  EXPECT_NE(inner_on, std::thread::id{});
+  EXPECT_NE(inner_on, outer_on);
+  EXPECT_EQ(metrics.counter("sched_inline_runs").value(), before + 1);
+}
+
+TEST(SchedInline, GuardFalseAtTheCallFallsBackToTheWorkerPath) {
+  Runtime rt;
+  std::thread::id ran_on;
+  rt.add_instance(manual_instance(
+      "a", [&](JunctionEnv&) { ran_on = std::this_thread::get_id(); },
+      [](const KvTable& t, const RuntimeView&) { return *t.prop(kWork); }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  std::thread opener([&] {
+    std::this_thread::sleep_for(50ms);
+    (void)rt.inject({Symbol("a"), Symbol("j")}, Update::assert_prop(kWork));
+  });
+  auto st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s));
+  opener.join();
+  EXPECT_TRUE(st.ok()) << st.error().to_string();
+  EXPECT_NE(ran_on, std::thread::id{});
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+}
+
+TEST(SchedInline, StopWhileTheInlineBodyBlocksIsUnreachable) {
+  // The body blocks in `wait` on the caller's thread; another thread stops
+  // the instance, which interrupts the wait. call() reports kUnreachable
+  // and nothing hangs.
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::atomic<bool> armed{false};
+  std::atomic<bool> entered{false};
+  std::thread::id ran_on;
+  rt.add_instance(manual_instance("a", [&](JunctionEnv& env) {
+    if (!armed.load()) return;
+    ran_on = std::this_thread::get_id();
+    entered = true;
+    (void)env.table().wait([](const TableView&) { return false; }, {},
+                           Deadline::after(30s));
+  }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  warm_up_inline(rt, metrics, "a");
+  armed = true;
+  std::thread stopper([&] {
+    ASSERT_TRUE(eventually([&] { return entered.load(); }));
+    std::this_thread::sleep_for(20ms);  // let the body park in wait
+    EXPECT_TRUE(rt.stop(Symbol("a")).ok());
+  });
+  const auto t0 = steady_now();
+  auto st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(30s));
+  stopper.join();
+  EXPECT_LT(steady_now() - t0, 10s);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Errc::kUnreachable) << st.error().to_string();
+}
+
+TEST(SchedInline, ConcurrentCallersOnOneJunctionLoseNoRun) {
+  // Four callers race for one manual junction: some runs go inline, the
+  // rest to the pool, and every call is served by exactly one run.
+  std::atomic<int> runs{0};
+  Runtime rt;
+  rt.add_instance(manual_instance("a", [&](JunctionEnv&) { runs++; }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 500;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok()) {
+          ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok.load(), kThreads * kCalls);
+  EXPECT_EQ(runs.load(), kThreads * kCalls);
 }
 
 // --- call() deadline edge --------------------------------------------------
